@@ -1,19 +1,18 @@
-//===- bench/ablation_steal_locality.cpp - steal victim-selection ablation -===//
+//===- bench/ablation_steal_locality.cpp - steal locality ------------------===//
 //
 // Part of the manticore-gc project.
 //
-// PR 1 made the *memory* side NUMA-aware (per-node chunk shards); this
-// ablation measures the *computation* side. With uniform-random victim
-// selection a steal is as likely to drag an environment (and its
-// subsequent promotions) across the interconnect as to stay on-node;
-// with the Scheduler's proximity tiers a thief probes its own node
-// first. The workload hands every vproc its own producer task (queued
-// directly on each vproc before the run starts) with unequal leaf
-// counts: vprocs that drain early become thieves, and the policy
-// decides whether they refill from their node's still-loaded producers
-// or from across the interconnect. (On this single-core host wall
-// clock is not meaningful; the SchedStats locality counters are the
-// observable.)
+// The per-node chunk shards make the *memory* side NUMA-aware; this
+// bench measures the *computation* side: with the Scheduler's proximity
+// tiers a thief probes its own node first, so a steal keeps the stolen
+// environment (and its subsequent promotions) on-node. The workload
+// hands every vproc its own producer task (queued directly on each
+// vproc before the run starts) with unequal leaf counts: vprocs that
+// drain early become thieves and refill from their node's
+// still-loaded producers before reaching across the interconnect. On a
+// small host wall clock is not meaningful; the SchedStats locality
+// counters are the observable, and tasks_stolen > 0 shows the handshake
+// moving work.
 //
 //===----------------------------------------------------------------------===//
 
@@ -81,20 +80,14 @@ struct RunResult {
   double RemoteTrafficFraction = 0;
 };
 
-RunResult runTree(const Topology &Topo, unsigned NumVProcs,
-                  bool LocalStealFirst, unsigned StealBatch) {
+RunResult runTree(const Topology &Topo, unsigned NumVProcs) {
   RuntimeConfig Cfg;
   Cfg.GC.LocalHeapBytes = 256 * 1024;
   Cfg.GC.GlobalGCBytesPerVProc = 1024 * 1024;
   Cfg.NumVProcs = NumVProcs;
   Cfg.PinThreads = false;
-  Cfg.LocalStealFirst = LocalStealFirst;
-  Cfg.StealBatch = StealBatch;
-  // This ablation isolates *victim selection*: the newer rebalance
-  // mechanisms are pinned to their baselines so the batch column keeps
-  // meaning "per-handshake cap" and no task migrates outside the
-  // handshake under test (bench_ablation_rebalance sweeps those knobs).
-  Cfg.StealHalf = false;
+  // Shedding off, so every migration goes through the steal handshake
+  // this bench measures (bench_ablation_rebalance covers shedding).
   Cfg.ShedThreshold = 0;
   Runtime RT(Cfg, Topo);
 
@@ -136,10 +129,9 @@ RunResult runTree(const Topology &Topo, unsigned NumVProcs,
 }
 
 void printRow(benchutil::JsonReport &Json, const char *Machine,
-              const char *Policy, unsigned Batch, const RunResult &R) {
+              const RunResult &R) {
   const SchedStats &S = R.Sched;
-  Json.addRow(Machine,
-              std::string(Policy) + "/batch" + std::to_string(Batch),
+  Json.addRow(Machine, "proximity",
               {{"tasks_stolen", static_cast<double>(S.TasksStolen)},
                {"steal_batches", static_cast<double>(S.StealBatches)},
                {"mean_batch", S.meanStealBatch()},
@@ -149,8 +141,8 @@ void printRow(benchutil::JsonReport &Json, const char *Machine,
                {"park_ms", static_cast<double>(S.ParkNanos) / 1e6},
                {"remote_traffic_pct", 100.0 * R.RemoteTrafficFraction}});
   std::printf(
-      "%-10s %-14s %5u  %7llu %7llu %9.2f %11.1f%% %8llu %7llu %9.1f %9.1f%%\n",
-      Machine, Policy, Batch,
+      "%-10s %-14s %7llu %7llu %9.2f %11.1f%% %8llu %7llu %9.1f %9.1f%%\n",
+      Machine, "proximity",
       static_cast<unsigned long long>(S.TasksStolen),
       static_cast<unsigned long long>(S.StealBatches), S.meanStealBatch(),
       100.0 * S.nodeLocalFraction(),
@@ -165,8 +157,7 @@ void printRow(benchutil::JsonReport &Json, const char *Machine,
 int main(int argc, char **argv) {
   benchutil::BenchOptions Opts = benchutil::BenchOptions::parse(
       argc, argv, "ablation_steal_locality",
-      "Work-stealing victim-selection ablation: proximity tiers vs "
-      "uniform-random.");
+      "Work-stealing locality with proximity-tier victim selection.");
   const bool Quick = Opts.Quick;
   if (Quick) {
     // CI smoke sizing: same sweep, counts small enough for a shared
@@ -175,14 +166,13 @@ int main(int argc, char **argv) {
     LeafWork = 80;
   }
   benchutil::JsonReport Json("ablation_steal_locality", Opts.JsonPath);
-  std::printf("Ablation: work-stealing victim selection "
-              "(proximity tiers vs uniform-random)%s\n",
+  std::printf("Work-stealing locality (proximity-tier victims)%s\n",
               Quick ? " [--quick]" : "");
   std::printf("Workload: one producer per vproc (%d/%d/%d-leaf mix), "
               "%d-int environments; lazy promotion\n\n",
               leavesFor(0), leavesFor(1), leavesFor(2), EnvLen);
-  std::printf("%-10s %-14s %5s  %7s %7s %9s %12s %8s %7s %9s %10s\n",
-              "machine", "victim policy", "batch", "stolen", "batches",
+  std::printf("%-10s %-14s %7s %7s %9s %12s %8s %7s %9s %10s\n",
+              "machine", "victim policy", "stolen", "batches",
               "avg/batch", "node-local", "failed", "parks", "park ms",
               "remote traffic");
 
@@ -191,32 +181,21 @@ int main(int argc, char **argv) {
 
   // Warm-up (discarded): first-run thread creation and page-fault noise
   // otherwise lands in the first measured row.
-  (void)runTree(Amd, 24, true, 4);
+  (void)runTree(Amd, 24);
 
-  // The headline comparison of the two policies, plus a batch sweep on
-  // the AMD machine (24 vprocs = 3 per node; 16 on Intel = 4 per node).
+  // 24 vprocs on the AMD machine = 3 per node; 16 on Intel = 4 per node.
   if (Opts.runsTopology("amd48"))
-    for (bool Local : {true, false})
-      printRow(Json, "amd48", Local ? "proximity" : "uniform", 4,
-               runTree(Amd, 24, Local, 4));
+    printRow(Json, "amd48", runTree(Amd, 24));
   if (Opts.runsTopology("intel32"))
-    for (bool Local : {true, false})
-      printRow(Json, "intel32", Local ? "proximity" : "uniform", 4,
-               runTree(Intel, 16, Local, 4));
-  if (Opts.runsTopology("amd48"))
-    for (unsigned Batch : {1u, 8u})
-      printRow(Json, "amd48", "proximity", Batch,
-               runTree(Amd, 24, true, Batch));
+    printRow(Json, "intel32", runTree(Intel, 16));
 
   std::printf(
       "\nWith proximity tiers (and the remote-steal throttle), a thief\n"
       "probes its own node's vprocs every round but unlocks farther tiers\n"
       "only after going empty-handed for a while, so vprocs that drain\n"
       "early refill from their node's producers and stolen environments\n"
-      "(and their later promotions) stay off the interconnect.\n"
-      "Uniform-random selection is load- and topology-blind (expect\n"
-      "~1/num-nodes node-local): most steals ship their environment\n"
-      "across a link, which the traffic ledger's (victim node -> thief\n"
-      "node) entries record.\n");
+      "(and their later promotions) stay off the interconnect; the\n"
+      "traffic ledger's (victim node -> thief node) entries record the\n"
+      "steals that still cross a link.\n");
   return Json.write() ? 0 : 1;
 }

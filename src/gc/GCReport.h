@@ -106,12 +106,6 @@ Report buildGCReport(GCWorld &World);
 /// (typically Runtime::aggregateSchedStats()).
 Report buildGCReport(GCWorld &World, const SchedStats &Sched);
 
-/// Convenience faces over buildGCReport(...).human().
-void printGCReport(std::FILE *Out, GCWorld &World);
-std::string gcReportString(GCWorld &World);
-void printGCReport(std::FILE *Out, GCWorld &World, const SchedStats &Sched);
-std::string gcReportString(GCWorld &World, const SchedStats &Sched);
-
 } // namespace manti
 
 #endif // MANTI_GC_GCREPORT_H

@@ -402,9 +402,6 @@ private:
 
   Chunk *acquireChunkCounted();
   Word *allocLocalObject(uint16_t Id, uint64_t LenWords);
-  /// Out-of-line twin of allocLocalObject for the microbench's
-  /// before/after comparison (gcinternal::HeapAccess::allocRawOutlined).
-  Word *allocLocalOutlined(uint16_t Id, uint64_t LenWords);
   Word *allocSlowPath(uint16_t Id, uint64_t LenWords);
   Value allocVectorSlow(const Value *Elems, std::size_t N);
   Value allocVectorFillSlow(std::size_t N, Value Fill);

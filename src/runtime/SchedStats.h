@@ -29,12 +29,9 @@ struct SchedStats {
   // Thief side: successful steal handshakes, classified by whether the
   // victim ran on the thief's NUMA node (Section 2.1: a cross-node steal
   // drags an environment -- and its subsequent promotions -- across the
-  // interconnect). With RuntimeConfig::StealHalf a single handshake may
-  // carry several mailbox-sized chunks; StealChunks counts them (equal to
-  // StealBatches in the fixed-batch baseline).
+  // interconnect).
   uint64_t TasksStolen = 0;      ///< tasks received via steals
   uint64_t StealBatches = 0;     ///< successful handshakes
-  uint64_t StealChunks = 0;      ///< mailbox chunks across those handshakes
   uint64_t NodeLocalBatches = 0; ///< ... with a same-node victim
   uint64_t CrossNodeBatches = 0; ///< ... with a remote victim
 
@@ -70,11 +67,6 @@ struct SchedStats {
   uint64_t ShedClaims = 0;       ///< bay pickups by this vproc
   uint64_t ShedTasksClaimed = 0; ///< tasks received through those pickups
 
-  // Adaptive remote-steal patience (per-vproc multiplicative updates,
-  // bounded by RuntimeConfig::RemoteStealPatience{Min,Max}).
-  uint64_t PatienceRaises = 0; ///< windows that doubled the patience
-  uint64_t PatienceDrops = 0;  ///< windows that halved it
-
   /// Fraction of successful steal handshakes whose victim was on the
   /// thief's own node (1.0 when no steals happened).
   double nodeLocalFraction() const {
@@ -87,14 +79,6 @@ struct SchedStats {
   /// Mean tasks per successful steal handshake.
   double meanStealBatch() const {
     return StealBatches ? static_cast<double>(TasksStolen) /
-                              static_cast<double>(StealBatches)
-                        : 0.0;
-  }
-
-  /// Mean mailbox chunks per successful steal handshake (1.0 in the
-  /// fixed-batch baseline; > 1 means steal-half drained deep queues).
-  double meanStealChunks() const {
-    return StealBatches ? static_cast<double>(StealChunks) /
                               static_cast<double>(StealBatches)
                         : 0.0;
   }
@@ -112,7 +96,6 @@ struct SchedStats {
     Spawns += O.Spawns;
     TasksStolen += O.TasksStolen;
     StealBatches += O.StealBatches;
-    StealChunks += O.StealChunks;
     NodeLocalBatches += O.NodeLocalBatches;
     CrossNodeBatches += O.CrossNodeBatches;
     TasksServiced += O.TasksServiced;
@@ -134,8 +117,6 @@ struct SchedStats {
     ShedTargetMisses += O.ShedTargetMisses;
     ShedClaims += O.ShedClaims;
     ShedTasksClaimed += O.ShedTasksClaimed;
-    PatienceRaises += O.PatienceRaises;
-    PatienceDrops += O.PatienceDrops;
   }
 };
 

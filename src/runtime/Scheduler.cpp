@@ -26,8 +26,7 @@ constexpr unsigned SpinRounds = 16;
 constexpr unsigned YieldRounds = 32;
 constexpr unsigned MinParkMicros = 8;
 /// Park backstop: with doorbells a ring ends the wait immediately, so
-/// this bound only matters when a wake-up signal has no ring (e.g. a
-/// join counter hitting zero) or in the ladder-baseline ablation. Small
+/// this bound only matters when a wake-up signal has no ring. Small
 /// enough that such a vproc still reaches its next safe point promptly.
 constexpr unsigned MaxParkMicros = 256;
 
@@ -41,39 +40,12 @@ constexpr unsigned BlockSpinRounds = 48;
 /// local vprocs are saturated and there is work to spare).
 constexpr std::size_t RemoteRingDepth = 4;
 
-/// Steal rounds per adaptive-patience window: long enough that one
-/// unlucky probe cannot whipsaw the patience, short enough that a phase
-/// change (a neighborhood going dry) is answered within a few dozen
-/// rounds.
-constexpr unsigned PatienceWindow = 32;
-
 } // namespace
 
 Scheduler::Scheduler(Runtime &RT)
-    : RT(RT), Lot(RT.parkLot()),
-      StealBatch(std::clamp(RT.config().StealBatch, 1u,
-                            StealRequest::MaxBatch)),
-      LocalStealFirst(RT.config().LocalStealFirst),
-      UseDoorbells(RT.config().UseDoorbells),
-      StealHalf(RT.config().StealHalf),
-      RemotePatience(RT.config().RemoteStealPatience),
-      // Patience 0 means "no remote throttle at all"; there is nothing
-      // for the adaptive controller to scale, so it stays off.
-      Adaptive(RT.config().AdaptivePatience &&
-               RT.config().RemoteStealPatience != 0),
-      PatienceMin(std::max(1u, RT.config().RemoteStealPatienceMin)),
-      // Clamp against the already-sanitized lower bound (PatienceMin is
-      // initialized first), so Min=Max=0 cannot produce a zero ceiling
-      // that a patience raise would store and tierLimit divide by.
-      PatienceMax(std::max(PatienceMin, RT.config().RemoteStealPatienceMax)),
-      ShedThreshold(RT.config().ShedThreshold) {
+    : RT(RT), Lot(RT.parkLot()), ShedThreshold(RT.config().ShedThreshold) {
   unsigned N = RT.numVProcs();
   Backoff.resize(N);
-  // Seed the adaptive patience from the fixed value (deliberately
-  // unclamped: the bounds govern where adaptation may *move* it, not
-  // where an explicit configuration may start it).
-  for (BackoffState &B : Backoff)
-    B.Patience = RemotePatience;
   Proximity.resize(N);
 
   // Group the other vprocs by the node-distance tiers the topology
@@ -114,38 +86,7 @@ Scheduler::Scheduler(Runtime &RT)
 }
 
 std::size_t Scheduler::tierLimit(const VProc &Thief) const {
-  if (RemotePatience == 0)
-    return Proximity[Thief.id()].size();
-  const BackoffState &B = Backoff[Thief.id()];
-  unsigned Patience = Adaptive ? B.Patience : RemotePatience;
-  return 1 + static_cast<std::size_t>(B.FailedRounds / Patience);
-}
-
-void Scheduler::notePatienceSample(VProc &VP, bool Success) {
-  if (!Adaptive)
-    return;
-  BackoffState &B = Backoff[VP.id()];
-  ++B.WindowRounds;
-  if (Success)
-    ++B.WindowHits;
-  if (B.WindowRounds < PatienceWindow)
-    return;
-  // Multiplicative window update: a nearly-dry window (< 25% hits)
-  // halves the patience so farther tiers unlock sooner; a reliably fed
-  // window (>= 75%) doubles it so this thief keeps feeding from its own
-  // neighborhood. The dead band in between leaves the value alone.
-  unsigned Old = B.Patience;
-  if (B.WindowHits * 4 < B.WindowRounds)
-    B.Patience = std::max(PatienceMin, B.Patience / 2);
-  else if (B.WindowHits * 4 >= B.WindowRounds * 3)
-    B.Patience = static_cast<unsigned>(std::min<uint64_t>(
-        PatienceMax, static_cast<uint64_t>(B.Patience) * 2));
-  if (B.Patience < Old)
-    ++VP.SStats.PatienceDrops;
-  else if (B.Patience > Old)
-    ++VP.SStats.PatienceRaises;
-  B.WindowRounds = 0;
-  B.WindowHits = 0;
+  return 1 + Backoff[Thief.id()].FailedRounds / RemotePatience;
 }
 
 template <typename TryFnT>
@@ -170,38 +111,14 @@ VProc *Scheduler::walkTiers(VProc &Thief, std::size_t TierLimit,
 }
 
 VProc *Scheduler::pickVictim(VProc &Thief) {
-  unsigned N = RT.numVProcs();
-  if (N <= 1)
-    return nullptr;
-  if (!LocalStealFirst) {
-    // Ablation baseline: uniform over the other vprocs, load-blind.
-    unsigned VictimId = static_cast<unsigned>(Thief.Rng.nextBelow(N - 1));
-    if (VictimId >= Thief.id())
-      ++VictimId;
-    return &RT.vproc(VictimId);
-  }
   return walkTiers(Thief, tierLimit(Thief), [](VProc &) { return true; });
 }
 
 bool Scheduler::stealAndRun(VProc &Thief) {
-  unsigned N = RT.numVProcs();
-  if (N <= 1)
+  if (RT.numVProcs() <= 1)
     return false;
 
   BackoffState &B = Backoff[Thief.id()];
-  if (!LocalStealFirst) {
-    VProc *Victim = pickVictim(Thief);
-    if (Victim && attemptSteal(Thief, *Victim)) {
-      B.FailedRounds = 0;
-      notePatienceSample(Thief, true);
-      return true;
-    }
-    ++B.FailedRounds;
-    ++Thief.SStats.FailedStealRounds;
-    notePatienceSample(Thief, false);
-    return false;
-  }
-
   // One round: walk the proximity tiers nearest-first, probing each
   // tier's members in a randomized rotation so same-node thieves spread
   // over their victims. Only loaded victims are worth a handshake; a
@@ -214,12 +131,10 @@ bool Scheduler::stealAndRun(VProc &Thief) {
         return attemptSteal(Thief, Cand);
       })) {
     B.FailedRounds = 0;
-    notePatienceSample(Thief, true);
     return true;
   }
   ++B.FailedRounds;
   ++Thief.SStats.FailedStealRounds;
-  notePatienceSample(Thief, false);
   return false;
 }
 
@@ -242,75 +157,18 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
   ringNode(Thief, Victim.node());
 
   // Wait for the victim's answer; keep answering our own mailbox and
-  // joining pending collections so nothing deadlocks. With steal-half a
-  // single handshake delivers several mailbox chunks: each Filled chunk
-  // is consumed and acknowledged with Consumed (step 4 in VProc.h), and
-  // the loop keeps spinning for the next one until a chunk arrives with
-  // More == false.
-  unsigned Total = 0, Chunks = 0;
-  // Finishing stats, shared by the normal final chunk and the empty
-  // terminator of a truncated transfer.
-  auto FinishStats = [&] {
-    Thief.SStats.TasksStolen += Total;
-    ++Thief.SStats.StealBatches;
-    Thief.SStats.StealChunks += Chunks;
-    if (Victim.node() == Thief.node())
-      ++Thief.SStats.NodeLocalBatches;
-    else
-      ++Thief.SStats.CrossNodeBatches;
-    // Finishing a multi-task handshake leaves fresh work on this node's
-    // queue: ring it so parked peers help with the batch.
-    if (Total > 1)
-      ringNode(Thief, Thief.node());
-    MANTI_DEBUG("sched",
-                "vp%u stole %u task(s) in %u chunk(s) from vp%u "
-                "(%s-node)",
-                Thief.id(), Total, Chunks, Victim.id(),
-                Victim.node() == Thief.node() ? "same" : "cross");
-  };
+  // joining pending collections so nothing deadlocks.
   for (;;) {
     int S = Req.State.load(std::memory_order_acquire);
     if (S == StealRequest::Filled) {
       // The acquire above pairs with the victim's release store of
-      // Filled: the batch slots, Count, and More are visible (step 2).
+      // Filled: the batch slots and Count are visible (step 2 in
+      // VProc.h). Run the oldest task directly -- no safe point between
+      // here and runTask's rooting -- and queue the rest (oldest first,
+      // so the local LIFO end still prefers the newest work).
       unsigned Count = Req.Count;
-      bool More = Req.More;
-      MANTI_CHECK(Count <= StealRequest::MaxBatch &&
-                      (Count >= 1 || (!More && Total >= 1)),
+      MANTI_CHECK(Count >= 1 && Count <= StealRequest::MaxBatch,
                   "steal batch out of range");
-      if (Count == 0) {
-        // Empty terminator: the victim's queue drained between chunks.
-        // Everything we netted is already on our own queue; run from
-        // there (it may have been re-stolen meanwhile, in which case
-        // this round simply reports no task run).
-        Req.State.store(StealRequest::Idle, std::memory_order_release);
-        FinishStats();
-        return Thief.runOneLocal();
-      }
-      Total += Count;
-      ++Chunks;
-      if (More) {
-        // Mid-transfer chunk: everything goes on the local queue (the
-        // queue is scanned as roots, and this loop takes safe points
-        // while waiting for the next chunk -- a task held in a local
-        // here would go stale under a global collection). The release
-        // store pairs with the victim's acquire, ordering our
-        // consumption before its next chunk's writes. Straight-line
-        // from the Filled load to here -- no safe point with an
-        // unconsumed chunk in hand.
-        for (unsigned I = 0; I < Count; ++I)
-          Thief.enqueueStolen(Req.Stolen[I]);
-        for (unsigned I = 0; I < Count; ++I)
-          Req.Stolen[I] = Task();
-        Req.Count = 0;
-        Req.State.store(StealRequest::Consumed,
-                        std::memory_order_release);
-        continue;
-      }
-      // Final (or only) chunk: run its oldest task directly -- no safe
-      // point between here and runTask's rooting -- and queue the rest
-      // (oldest first, so the local LIFO end still prefers the newest
-      // work).
       Task First = Req.Stolen[0];
       for (unsigned I = 1; I < Count; ++I)
         Thief.enqueueStolen(Req.Stolen[I]);
@@ -318,7 +176,19 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
         Req.Stolen[I] = Task();
       Req.Count = 0;
       Req.State.store(StealRequest::Idle, std::memory_order_release);
-      FinishStats();
+      Thief.SStats.TasksStolen += Count;
+      ++Thief.SStats.StealBatches;
+      if (Victim.node() == Thief.node())
+        ++Thief.SStats.NodeLocalBatches;
+      else
+        ++Thief.SStats.CrossNodeBatches;
+      // A multi-task batch leaves fresh work on this node's queue: ring
+      // it so parked peers help with the batch.
+      if (Count > 1)
+        ringNode(Thief, Thief.node());
+      MANTI_DEBUG("sched", "vp%u stole %u task(s) from vp%u (%s-node)",
+                  Thief.id(), Count, Victim.id(),
+                  Victim.node() == Thief.node() ? "same" : "cross");
       Thief.runTask(First);
       return true;
     }
@@ -334,87 +204,29 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
 }
 
 bool Scheduler::serviceSteal(VProc &Victim) {
-  // An in-flight chunked transfer always goes first: the thief is
-  // spinning for the next chunk, and nothing else may reuse the request
-  // slots until it arrives.
-  if (Victim.ActiveSteal)
-    return continueSteal(Victim);
   StealRequest *Req = Victim.Mailbox.load(std::memory_order_acquire);
   if (!Req)
     return false;
+  // The mailbox is cleared before the answer is published, so the thief
+  // can post a fresh request as soon as it sees Filled or Failed.
+  Victim.Mailbox.store(nullptr, std::memory_order_release);
   std::size_t K = Victim.ReadyQ.size();
   if (K == 0) {
-    Victim.Mailbox.store(nullptr, std::memory_order_release);
     Req->State.store(StealRequest::Failed, std::memory_order_release);
     return true;
   }
-  // Steal the oldest ceil(k/2) tasks: they are the largest units of
-  // pending work, and handing over several at once amortizes the
-  // handshake and the promotion pauses. With steal-half the whole
-  // budget moves through the one handshake in StealBatch-sized chunks;
-  // the fixed-batch baseline caps the budget at one chunk. The mailbox
-  // is cleared up front (release-published before the first Filled):
-  // during a long transfer other thieves may post fresh requests, which
-  // this vproc answers once the transfer is done.
-  std::size_t Budget = (K + 1) / 2;
-  if (!StealHalf)
-    Budget = std::min<std::size_t>(Budget, StealBatch);
-  Victim.Mailbox.store(nullptr, std::memory_order_release);
-  ++Victim.SStats.BatchesServiced;
-
-  sendStealChunk(Victim, Req, Budget);
-  if (Budget > 0) {
-    // More chunks promised: park the transfer as a continuation. The
-    // victim NEVER blocks waiting for the thief's Consumed ack -- in a
-    // ring of mutual steals, every party blocked in a victim-side wait
-    // would be waiting on a thief that is itself blocked in its own
-    // victim-side wait, a permanent cycle. Instead the next chunk goes
-    // out from a later poll (and the idle ladder refuses to park while
-    // a transfer is open, so the ack turnaround stays tight).
-    Victim.ActiveSteal = Req;
-    Victim.ActiveStealBudget = Budget;
-  }
-  return true;
-}
-
-bool Scheduler::continueSteal(VProc &Victim) {
-  StealRequest *Req = Victim.ActiveSteal;
-  // The acquire pairs with the thief's Consumed release store: its
-  // reads of the previous chunk happen-before our reuse of the slots.
-  if (Req->State.load(std::memory_order_acquire) != StealRequest::Consumed)
-    return false; // thief has not consumed the last chunk yet
-  std::size_t Budget = Victim.ActiveStealBudget;
-  sendStealChunk(Victim, Req, Budget);
-  Victim.ActiveStealBudget = Budget;
-  if (Budget == 0)
-    Victim.ActiveSteal = nullptr;
-  return true;
-}
-
-void Scheduler::sendStealChunk(VProc &Victim, StealRequest *Req,
-                               std::size_t &Budget) {
-  // The victim may have run -- or lost to other thieves -- part of its
-  // queue since the budget was set: re-bound by what is actually there.
-  unsigned Take = static_cast<unsigned>(std::min<std::size_t>(
-      std::min<std::size_t>(Budget, StealBatch), Victim.ReadyQ.size()));
-  if (Take == 0) {
-    // Queue drained mid-transfer: close the handshake with an empty
-    // terminator chunk (the first chunk of a handshake is never empty,
-    // so the thief always nets at least one task).
-    Req->Count = 0;
-    Req->More = false;
-    Budget = 0;
-    Req->State.store(StealRequest::Filled, std::memory_order_release);
-    return;
-  }
+  // Steal the oldest ceil(k/2) tasks, up to one mailbox's worth: they
+  // are the largest units of pending work, and handing over several at
+  // once amortizes the handshake and the promotion pauses.
+  unsigned Take = static_cast<unsigned>(
+      std::min<std::size_t>((K + 1) / 2, StealRequest::MaxBatch));
   uint64_t PromotedBefore = Victim.Heap.Stats.PromoteBytes;
   // Tasks staged in Req->Stolen are rooted by nobody until the thief
   // sees Filled; this is safe because nothing between popForSteal() and
   // the Filled store below can collect -- promote() copies and at most
   // *requests* a global GC (which only runs at safe points, and the
-  // victim takes none inside this function). Within the budget, tasks
-  // hinted at the thief's node go first (popForSteal) so hinted work
-  // chases its data.
+  // victim takes none inside this function). Tasks hinted at the
+  // thief's node go first (popForSteal) so hinted work chases its data.
   unsigned AffinityMatches = 0;
   Take = Victim.popForSteal(Req->ThiefNode, Take, Req->Stolen,
                             &AffinityMatches);
@@ -428,16 +240,9 @@ void Scheduler::sendStealChunk(VProc &Victim, StealRequest *Req,
     }
   }
   uint64_t EnvBytes = Victim.Heap.Stats.PromoteBytes - PromotedBefore;
-  Budget -= Take;
-  // Truncate the transfer when a global collection goes pending: every
-  // chunk the victim still owes is one more spin-wait the thief must
-  // clear before it can sit at the collection's barrier for long.
-  bool More = Budget > 0 && !RT.world().rendezvousRequested();
-  if (!More)
-    Budget = 0;
   Req->Count = Take;
-  Req->More = More;
 
+  ++Victim.SStats.BatchesServiced;
   Victim.SStats.TasksServiced += Take;
   Victim.SStats.StolenEnvBytes += EnvBytes;
   Victim.SStats.AffinityHandoffs += AffinityMatches;
@@ -446,6 +251,7 @@ void Scheduler::sendStealChunk(VProc &Victim, StealRequest *Req,
 
   // Handshake step 2: plain writes above, then the release store.
   Req->State.store(StealRequest::Filled, std::memory_order_release);
+  return true;
 }
 
 std::size_t Scheduler::nodeDepth(NodeId Node) const {
@@ -558,9 +364,7 @@ bool Scheduler::claimShedAndRun(VProc &VP) {
   // open up on the same terms as remote victims -- after one patience
   // of empty-handed rounds -- so the bay's own node still gets first
   // claim on its batches.
-  unsigned Patience =
-      Adaptive ? Backoff[VP.id()].Patience : RemotePatience;
-  if (Patience != 0 && Backoff[VP.id()].FailedRounds < Patience)
+  if (Backoff[VP.id()].FailedRounds < RemotePatience)
     return false;
   for (NodeId N : NodeOrder[VP.node()])
     if (claimShedFrom(VP, N))
@@ -575,20 +379,6 @@ unsigned Scheduler::parkMicrosFor(unsigned Step) {
 void Scheduler::doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
                              bool (*Pred)(void *), void *PredCtx,
                              bool Claimable) {
-  if (!UseDoorbells) {
-    // Ladder baseline: a blind bounded sleep nobody can cut short.
-    auto Start = std::chrono::steady_clock::now();
-    std::this_thread::sleep_for(std::chrono::microseconds(Micros));
-    auto End = std::chrono::steady_clock::now();
-    if (RecordStats) {
-      ++VP.SStats.Parks;
-      VP.SStats.ParkNanos += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(End - Start)
-              .count());
-      ++VP.SStats.ParkTimeouts;
-    }
-    return;
-  }
   // Doorbell park: snapshot the epochs, re-check every standing wake
   // condition, then wait. Any ring that lands after the snapshot --
   // including the global-GC broadcast -- makes the wait return
@@ -597,7 +387,7 @@ void Scheduler::doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
   // shed-claim targets: targeting must not count a channel-blocked
   // parker, which cannot run arbitrary tasks.
   ParkLot::Token T = Lot.prepare(VP.node(), Claimable);
-  // Fence pairing with tryRing: in the seq_cst fence order, either this
+  // Fence pairing with ringNode: in the seq_cst fence order, either this
   // fence precedes the ringer's (so the ringer's waiter-count load sees
   // prepare's increment and rings) or the ringer's precedes this one
   // (so the re-checks below see the condition its ring site published).
@@ -614,7 +404,7 @@ void Scheduler::doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
       (Claimable && RT.schedulerActive() &&
        Lot.shedDepth(VP.node()) != 0) ||
       VP.Mailbox.load(std::memory_order_acquire) != nullptr ||
-      VP.ActiveSteal != nullptr || RT.world().rendezvousRequested()) {
+      RT.world().rendezvousRequested()) {
     Lot.cancel(VP.node(), T);
     std::this_thread::yield();
     return;
@@ -646,10 +436,9 @@ void Scheduler::idleBackoff(VProc &VP, bool RecordStats, bool (*Pred)(void *),
     return; // spin rung: retry immediately, the caller's poll is the spin
   if (R <= SpinRounds + YieldRounds ||
       VP.Mailbox.load(std::memory_order_acquire) != nullptr ||
-      VP.ActiveSteal != nullptr || RT.world().rendezvousRequested()) {
-    // Yield rung -- also taken instead of parking whenever a thief, an
-    // in-flight chunked transfer, or a pending collection needs a
-    // prompt answer.
+      RT.world().rendezvousRequested()) {
+    // Yield rung -- also taken instead of parking whenever a thief or a
+    // pending collection needs a prompt answer.
     std::this_thread::yield();
     return;
   }
@@ -657,7 +446,7 @@ void Scheduler::idleBackoff(VProc &VP, bool RecordStats, bool (*Pred)(void *),
                RecordStats, Pred, PredCtx, /*Claimable=*/true);
 }
 
-bool Scheduler::tryRing(VProc &Ringer, NodeId Node) {
+bool Scheduler::ringNode(VProc &Ringer, NodeId Node) {
   ++Ringer.SStats.RingsSent;
   // Skip the epoch bump and futex when nobody is parked: the common
   // busy-system case stays a fence plus one atomic load. The fence
@@ -671,24 +460,16 @@ bool Scheduler::tryRing(VProc &Ringer, NodeId Node) {
   return false;
 }
 
-void Scheduler::ringNode(VProc &Ringer, NodeId Node) {
-  if (!UseDoorbells)
-    return;
-  tryRing(Ringer, Node);
-}
-
 void Scheduler::noteSpawn(VProc &VP, const Task &T) {
-  if (!UseDoorbells)
-    return;
   // A hinted task rings its data's node first ("tasks chase their
   // data"); with no hint the spawner's own node is the target.
   if (T.Affinity != Task::NoAffinity && T.Affinity != VP.node() &&
-      tryRing(VP, T.Affinity))
+      ringNode(VP, T.Affinity))
     return;
   // Hinted node saturated (or no hint): the task sits on *this* queue,
   // so parked local peers can steal it either way -- ring them rather
   // than leaving them to their backstops.
-  if (tryRing(VP, VP.node()))
+  if (ringNode(VP, VP.node()))
     return;
   // Local vprocs are all busy too. Once the queue runs deep enough that
   // this node cannot drain it alone, wake the nearest node with parked
@@ -697,7 +478,7 @@ void Scheduler::noteSpawn(VProc &VP, const Task &T) {
     return;
   for (NodeId Remote : NodeOrder[VP.node()]) {
     if (Lot.parkedOn(Remote) != 0) {
-      tryRing(VP, Remote);
+      ringNode(VP, Remote);
       return;
     }
   }
@@ -716,7 +497,7 @@ void Scheduler::blockOn(VProc &VP, bool (*Pred)(void *), void *Ctx,
   // Slow path: doorbell parks with the same growing bounded backstop as
   // the idle ladder. Every wake-up a channel block waits for has a ring
   // (hand-offs, Taken, steal requests, the GC broadcast) and the fence
-  // pairing in doorbellPark/tryRing means none can be missed, so the
+  // pairing in doorbellPark/ringNode means none can be missed, so the
   // backstop is purely a safety net; it is kept short anyway because on
   // an oversubscribed host a shallow sleep resumes faster than a deep
   // futex wake. poll() between parks keeps this vproc answering steal

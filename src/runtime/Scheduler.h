@@ -18,20 +18,14 @@
 ///     which is the paper's Section 2.1 locality argument applied to the
 ///     computation side. Farther tiers are *throttled*: a thief probes
 ///     tier 0 every round, but tier k unlocks only after
-///     k * RuntimeConfig::RemoteStealPatience consecutive failed rounds,
-///     so when new work appears on a node that node's own vprocs claim
-///     it before the (far more numerous) remote thieves converge on it.
-///     RuntimeConfig::LocalStealFirst=false restores the uniform-random
-///     victim of the ablation baseline.
+///     k * RemotePatience consecutive failed rounds, so when new work
+///     appears on a node that node's own vprocs claim it before the (far
+///     more numerous) remote thieves converge on it.
 ///
-///   * Steals are *batched*: the victim hands over the oldest ceil(k/2)
-///     tasks and promotes all of their environments in one handshake, so
-///     one mailbox round trip amortizes several promotions. Under
-///     RuntimeConfig::StealHalf (the default) the ceil(k/2) transfer is
-///     unbounded -- the handshake moves it in mailbox-sized chunks
-///     (StealBatch tasks each), so one handshake can drain half of an
-///     arbitrarily deep queue; StealHalf=false restores the fixed
-///     per-handshake StealBatch cap as the ablation baseline.
+///   * Steals are *batched*: one handshake hands over the oldest
+///     min(ceil(k/2), StealRequest::MaxBatch) tasks of a k-deep queue in
+///     a single mailbox message and promotes all of their environments
+///     together, so one round trip amortizes several promotions.
 ///
 ///   * Load balancing is *two-sided*. Stealing is the pull side; the
 ///     push side is victim-initiated shedding: a vproc whose queue depth
@@ -47,14 +41,6 @@
 ///     push side entirely (the ablation baseline): a skewed producer
 ///     then rebalances only at remote-steal patience, exactly the gap
 ///     shedding closes.
-///
-///   * The remote-steal patience itself is *adaptive* (default;
-///     RuntimeConfig::AdaptivePatience=false restores the fixed
-///     threshold): each thief keeps a per-vproc patience value, seeded
-///     from RemoteStealPatience, and over windows of steal rounds halves
-///     it when almost every round comes back empty (reach farther,
-///     sooner) or doubles it when steals are reliably succeeding (stay
-///     near home), clamped to [RemoteStealPatienceMin, Max].
 ///
 ///   * Idle vprocs descend a spin -> yield -> park ladder instead of
 ///     hammering victim mailboxes. The park rung is a *doorbell wait* in
@@ -79,8 +65,6 @@
 /// sizes, failed rounds, park time, and doorbell traffic (rings sent /
 /// wasted, ring-to-wake latency); stolen-environment bytes are charged
 /// to the TrafficMatrix under (victim node -> thief node).
-/// RuntimeConfig::UseDoorbells = false restores the blind bounded-sleep
-/// ladder everywhere (the parking ablation baseline).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,29 +93,9 @@ public:
   Scheduler(const Scheduler &) = delete;
   Scheduler &operator=(const Scheduler &) = delete;
 
-  /// Effective chunk size (config clamped to [1, StealRequest::MaxBatch]);
-  /// with StealHalf off it is also the whole-handshake cap.
-  unsigned stealBatchLimit() const { return StealBatch; }
-  bool localStealFirst() const { return LocalStealFirst; }
-  /// True when blocking sites use ParkLot doorbells (false = the blind
-  /// bounded-sleep ablation baseline).
-  bool doorbells() const { return UseDoorbells; }
-  /// True when one handshake may move ceil(k/2) tasks in chunks (false =
-  /// the fixed per-handshake StealBatch cap, the ablation baseline).
-  bool stealHalf() const { return StealHalf; }
-  /// Queue depth at which a spawning vproc tries to shed (0 = the push
-  /// side is disabled, the ablation baseline).
-  unsigned shedThreshold() const { return ShedThreshold; }
-  /// True when the remote-steal patience adapts to the observed steal
-  /// success rate.
-  bool adaptivePatience() const { return Adaptive; }
-  /// \p VProcId's current remote-steal patience (the fixed config value
-  /// unless AdaptivePatience moved it). Like the rest of the backoff
-  /// state this is owner-thread data: call it from the thread driving
-  /// that vproc (tests) or while the vprocs are quiescent.
-  unsigned patienceOf(unsigned VProcId) const {
-    return Adaptive ? Backoff[VProcId].Patience : RemotePatience;
-  }
+  /// Consecutive failed steal rounds that unlock each farther
+  /// proximity tier (and, after the first, the remote shed bays).
+  static constexpr unsigned RemotePatience = 64;
 
   /// \p Thief's victim probe order: tiers of vproc ids, tier 0 holding
   /// the same-node vprocs, later tiers sorted by increasing node
@@ -143,8 +107,7 @@ public:
 
   /// Picks the victim a steal round would probe first: the first loaded
   /// vproc in proximity order, subject to the thief's current
-  /// remote-steal tier limit (nullptr when nothing reachable is loaded),
-  /// or a uniform-random other vproc when LocalStealFirst is off.
+  /// remote-steal tier limit (nullptr when nothing reachable is loaded).
   /// Exposed for tests; stealAndRun walks the same tiers under the same
   /// limit (it merely keeps probing past a contended victim).
   VProc *pickVictim(VProc &Thief);
@@ -154,15 +117,11 @@ public:
   /// locally). \returns true if a task was executed.
   bool stealAndRun(VProc &Thief);
 
-  /// Victim side: continues an in-flight chunked transfer (sending the
-  /// next chunk once the thief has acked the last) or answers \p
-  /// Victim's pending steal request, popping and promoting a batch --
-  /// the first chunk of up to ceil(k/2) tasks under steal-half, with
-  /// the rest parked as an ActiveSteal continuation for later polls
-  /// (the victim never blocks mid-transfer). Runs on the victim's own
-  /// thread (a local heap may only be copied from by its owner).
-  /// \returns true if progress was made (a chunk sent, or a request
-  /// answered -- successfully or not).
+  /// Victim side: answers \p Victim's pending steal request, popping
+  /// and promoting a batch of min(ceil(k/2), StealRequest::MaxBatch)
+  /// tasks (or failing the request when the queue is empty). Runs on
+  /// the victim's own thread (a local heap may only be copied from by
+  /// its owner). \returns true if a request was answered.
   bool serviceSteal(VProc &Victim);
 
   /// One step of the idle ladder for \p VP: spin, then yield, then park
@@ -203,9 +162,10 @@ public:
                bool RecordStats = true);
 
   /// Rings \p Node's doorbell on \p Ringer's behalf (stats accounting),
-  /// skipping the futex when nobody is parked there. No-op in the
-  /// ladder-baseline mode.
-  void ringNode(VProc &Ringer, NodeId Node);
+  /// skipping the futex when nobody is parked there. Call *after*
+  /// publishing whatever made the parked vprocs' condition true.
+  /// \returns true when a waiter was present.
+  bool ringNode(VProc &Ringer, NodeId Node);
 
   //===--------------------------------------------------------------------===//
   // Load board and victim-initiated shedding
@@ -242,10 +202,10 @@ public:
   /// the tail locally, re-rings when backlog remains, and runs the
   /// first task. Work conservation across bays: when the own bay is
   /// empty and \p VP's failed steal rounds have already unlocked remote
-  /// stealing (one patience), unclaimed *remote* bays are claimed too,
-  /// nearest first, so a batch shed toward a node whose vprocs all went
-  /// busy or blocked can never strand. Called from the idle paths
-  /// (worker loop, joinWait) ahead of stealing; never from
+  /// stealing (RemotePatience rounds), unclaimed *remote* bays are
+  /// claimed too, nearest first, so a batch shed toward a node whose
+  /// vprocs all went busy or blocked can never strand. Called from the
+  /// idle paths (worker loop, joinWait) ahead of stealing; never from
   /// blocked-channel waits, which must not run arbitrary tasks.
   /// \returns true if a task was executed.
   bool claimShedAndRun(VProc &VP);
@@ -261,18 +221,6 @@ private:
   /// Posts Thief's request on Victim's mailbox and waits for the answer.
   /// \returns true if a batch arrived and its first task was run.
   bool attemptSteal(VProc &Thief, VProc &Victim);
-
-  /// Sends the next chunk of \p Victim's ActiveSteal transfer if the
-  /// thief has acked the previous one. \returns true when a chunk went
-  /// out.
-  bool continueSteal(VProc &Victim);
-
-  /// Pops, promotes, and publishes one mailbox chunk of at most
-  /// min(\p Budget, StealBatch, queue depth) tasks on \p Req,
-  /// decrementing \p Budget (forced to 0 -- with an empty terminator
-  /// chunk if needed -- when the transfer must end).
-  void sendStealChunk(VProc &Victim, StealRequest *Req,
-                      std::size_t &Budget);
 
   /// Claims from node \p Node's bay on \p VP's behalf (\p VP runs the
   /// first task). \returns true if a task was executed.
@@ -304,36 +252,16 @@ private:
   /// Exponential park bound for ladder position \p Step.
   static unsigned parkMicrosFor(unsigned Step);
 
-  /// Stats-counted ring of \p Node: skips the futex when nobody is
-  /// parked there. \returns true when a waiter was present.
-  bool tryRing(VProc &Ringer, NodeId Node);
-
-  /// One adaptive-patience sample (owner thread): account the round,
-  /// and at each window boundary halve or double the patience from the
-  /// window's steal success rate, clamped to [PatienceMin, PatienceMax].
-  void notePatienceSample(VProc &VP, bool Success);
-
   /// Each vproc's owner thread updates its own entry every idle round;
   /// pad to a cache line so idle vprocs on different nodes don't
   /// ping-pong a shared line (the very traffic this scheduler avoids).
   struct alignas(CacheLineSize) BackoffState {
     unsigned IdleRounds = 0;   ///< ladder position (spin/yield/park)
     unsigned FailedRounds = 0; ///< consecutive empty rounds (tier unlock)
-    unsigned Patience = 0;     ///< adaptive remote-steal patience
-    unsigned WindowRounds = 0; ///< steal rounds in the current window
-    unsigned WindowHits = 0;   ///< ... that brought work home
   };
 
   Runtime &RT;
   ParkLot &Lot;
-  unsigned StealBatch;
-  bool LocalStealFirst;
-  bool UseDoorbells;
-  bool StealHalf;
-  unsigned RemotePatience;
-  bool Adaptive;
-  unsigned PatienceMin;
-  unsigned PatienceMax;
   unsigned ShedThreshold;
   /// Proximity[v][tier] = vproc ids at that distance from vproc v.
   std::vector<std::vector<std::vector<unsigned>>> Proximity;

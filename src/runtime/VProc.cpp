@@ -160,18 +160,15 @@ void JoinCounter::sub(int64_t N) {
     return;
   if (!W)
     return;
-  Scheduler &Sched = W->runtime().scheduler();
-  if (!Sched.doorbells())
-    return;
   // Ring-site fence discipline (pairs with doorbellPark's fence, see
-  // tryRing): the completion was published by the fetch_sub above; the
-  // fence orders it before the waiter-count load, so a joiner parking
-  // concurrently either sees done() in its pre-park re-check or its
-  // prepare() is visible here and the ring lands. No stats bump: the
+  // Scheduler::ringNode): the completion was published by the fetch_sub
+  // above; the fence orders it before the waiter-count load, so a joiner
+  // parking concurrently either sees done() in its pre-park re-check or
+  // its prepare() is visible here and the ring lands. No stats bump: the
   // SchedStats ring counters are owner-thread-only, and sub() runs on
   // whichever vproc finished the subtask.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  ParkLot &Lot = Sched.parkLot();
+  ParkLot &Lot = W->runtime().scheduler().parkLot();
   if (Lot.parkedOn(W->node()) != 0)
     Lot.ring(W->node());
 }

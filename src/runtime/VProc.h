@@ -45,12 +45,9 @@ class Scheduler;
 
 /// One steal-handshake mailbox message. Each vproc owns exactly one
 /// request object for the steals *it* initiates, so a request carries a
-/// whole batch: the victim hands over the oldest ceil(k/2) tasks and
-/// promotes their environments in one go, amortizing the handshake and
-/// the promotion pauses. Under RuntimeConfig::StealHalf the ceil(k/2)
-/// transfer is *unbounded*: one handshake moves it in mailbox-sized
-/// chunks (see step 4); the fixed-batch baseline caps the whole transfer
-/// at RuntimeConfig::StealBatch in a single chunk.
+/// whole batch: the victim hands over the oldest
+/// min(ceil(k/2), MaxBatch) tasks and promotes their environments in
+/// one go, amortizing the handshake and the promotion pauses.
 ///
 /// Memory ordering of the handshake (the full release/acquire story; the
 /// regression test SchedulerTest.HandshakeHammer exercises it under
@@ -60,46 +57,27 @@ class Scheduler;
 ///     publishes the request with a CAS on the victim's Mailbox
 ///     (acq_rel). The victim's Mailbox load(acquire) therefore sees both
 ///     fields.
-///  2. The victim writes Stolen[0..Count), Count, and More as plain
-///     stores, clears the mailbox, and only then stores State=Filled
-///     (release). The thief spins on State with load(acquire); observing
-///     Filled forms a release/acquire edge, so every Stolen/Count/More
-///     write happens-before the thief's reads. No additional fence is
-///     needed: the State pair is the fence.
-///  3. The thief consumes the batch. If More is false the transfer is
-///     over: it stores State=Idle (release) so its plain clears of
-///     Stolen[] happen-before the *next* victim's reads, which are
-///     ordered after the next Mailbox CAS (step 1).
-///  4. If More is true (steal-half, mid-transfer) the thief instead
-///     stores State=Consumed (release). The victim NEVER blocks waiting
-///     for that ack -- it parks the transfer in its ActiveSteal
-///     continuation and sends the next chunk from a later poll, once its
-///     load(acquire) of Consumed orders the thief's consumption before
-///     the next chunk's plain Stolen[] writes; the protocol then repeats
-///     from step 2. (A blocking wait here could cycle: in a ring of
-///     mutual steals every party would be a victim waiting on a thief
-///     that is itself stuck in its own victim wait.) The thief keeps
-///     taking safe points between chunks, so a global collection
-///     requested mid-transfer cannot deadlock: the in-flight chunk is
-///     rooted by the thief's root enumeration (which scans
-///     Stolen[0..Count) whenever State == Filled), the not-yet-popped
-///     remainder by the victim's queue scan, and the victim truncates
-///     the transfer when a collection goes pending. Because the victim
-///     may run (or lose to other thieves) its own queue between chunks,
-///     a transfer can close with an *empty terminator* chunk
-///     (Count == 0, More == false) after a More == true promise; the
-///     first chunk of a handshake is never empty.
+///  2. The victim clears the mailbox, writes Stolen[0..Count) and Count
+///     as plain stores, and only then stores State=Filled (release), or
+///     State=Failed when its queue is empty. The thief spins on State
+///     with load(acquire); observing Filled forms a release/acquire
+///     edge, so every Stolen/Count write happens-before the thief's
+///     reads. No additional fence is needed: the State pair is the
+///     fence. While the thief spins it keeps taking safe points; a
+///     global collection in that window finds the batch through the
+///     thief's root enumeration, which scans Stolen[0..Count) whenever
+///     State == Filled.
+///  3. The thief consumes the batch and stores State=Idle (release), so
+///     its plain clears of Stolen[] happen-before the *next* victim's
+///     reads, which are ordered after the next Mailbox CAS (step 1).
 struct StealRequest {
-  /// Hard cap on tasks per mailbox chunk (RuntimeConfig::StealBatch is
-  /// clamped to this).
+  /// Hard cap on tasks per handshake.
   static constexpr unsigned MaxBatch = 8;
 
-  enum StateKind : int { Idle, Posted, Filled, Failed, Consumed };
+  enum StateKind : int { Idle, Posted, Filled, Failed };
   std::atomic<int> State{Idle};
   NodeId ThiefNode = 0;      ///< written by the thief before posting
   unsigned Count = 0;        ///< valid when State == Filled
-  bool More = false;         ///< valid when State == Filled: another chunk
-                             ///< follows after the thief stores Consumed
   Task Stolen[MaxBatch];     ///< valid when State == Filled; Envs promoted
 };
 
@@ -237,14 +215,6 @@ private:
   std::atomic<std::size_t> Depth{0};   ///< ReadyQ.size(), cross-thread view
   std::atomic<StealRequest *> Mailbox{nullptr}; ///< posted by thieves
   StealRequest MyRequest;              ///< used when this vproc steals
-  /// Owner-only continuation of an in-flight chunked (steal-half)
-  /// transfer this vproc is servicing as the victim: the request whose
-  /// thief owes a Consumed ack, and the tasks still promised. The next
-  /// chunk goes out from serviceSteal at a later poll; the idle ladder
-  /// yields instead of parking while a transfer is open so the thief is
-  /// never left waiting on a park backstop.
-  StealRequest *ActiveSteal = nullptr;
-  std::size_t ActiveStealBudget = 0;
   std::vector<ResultCell *> Cells;     ///< live result cells we own
   XorShift64 Rng;
 

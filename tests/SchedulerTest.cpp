@@ -2,8 +2,8 @@
 //
 // Part of the manticore-gc project.
 //
-// Covers the Scheduler subsystem: proximity-tier victim ordering, the
-// LocalStealFirst ablation knob, steal batching, the cross-thread queue
+// Covers the Scheduler subsystem: proximity-tier victim ordering and the
+// remote-steal throttle, steal batching, the cross-thread queue
 // depth counter, the idle ladder's park accounting, the ParkLot
 // doorbells (node-exact rings, broadcast, and the ring-vs-park race),
 // spawn affinity routing, and a steal handshake hammer (the regression
@@ -122,34 +122,8 @@ TEST(Scheduler, LoadedSameNodeVictimPreferred) {
   }
 }
 
-TEST(Scheduler, UniformRandomRestoredByLocalStealFirstOff) {
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.LocalStealFirst = false;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
-  Scheduler &Sched = RT.scheduler();
-  EXPECT_FALSE(Sched.localStealFirst());
-
-  // Same load pattern as above; uniform-random selection is load-blind,
-  // so every other vproc must eventually be picked.
-  for (int I = 0; I < 4; ++I) {
-    RT.vproc(4).spawn(trivialTask());
-    RT.vproc(1).spawn(trivialTask());
-  }
-  std::set<unsigned> Picked;
-  for (int Trial = 0; Trial < 700; ++Trial) {
-    VProc *Victim = Sched.pickVictim(RT.vproc(0));
-    ASSERT_NE(Victim, nullptr);
-    ASSERT_NE(Victim->id(), 0u);
-    Picked.insert(Victim->id());
-  }
-  EXPECT_EQ(Picked.size(), 7u)
-      << "uniform-random selection must spread over all other vprocs";
-}
-
 TEST(Scheduler, RemoteStealPatienceGatesFartherTiers) {
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.RemoteStealPatience = 3;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
+  Runtime RT(testRuntimeConfig(8), Topology::uniform(4, 2));
   Scheduler &Sched = RT.scheduler();
   VProc &Thief = RT.vproc(0);
 
@@ -158,13 +132,12 @@ TEST(Scheduler, RemoteStealPatienceGatesFartherTiers) {
     RT.vproc(1).spawn(trivialTask());
 
   // Fresh thief: only tier 0 is probeable, and it is empty. Each
-  // empty-handed round counts toward the unlock; tier 1 opens after 3.
-  EXPECT_EQ(Sched.pickVictim(Thief), nullptr);
-  EXPECT_FALSE(Sched.stealAndRun(Thief)); // failed rounds: 1
-  EXPECT_EQ(Sched.pickVictim(Thief), nullptr);
-  EXPECT_FALSE(Sched.stealAndRun(Thief)); // 2
-  EXPECT_EQ(Sched.pickVictim(Thief), nullptr);
-  EXPECT_FALSE(Sched.stealAndRun(Thief)); // 3 -> tier 1 unlocked
+  // empty-handed round counts toward the unlock; tier 1 opens after
+  // RemotePatience of them.
+  for (unsigned Round = 0; Round < Scheduler::RemotePatience; ++Round) {
+    ASSERT_EQ(Sched.pickVictim(Thief), nullptr) << "round " << Round;
+    ASSERT_FALSE(Sched.stealAndRun(Thief));
+  }
   VProc *Victim = Sched.pickVictim(Thief);
   ASSERT_NE(Victim, nullptr);
   EXPECT_EQ(Victim->id(), 1u);
@@ -173,17 +146,6 @@ TEST(Scheduler, RemoteStealPatienceGatesFartherTiers) {
   // its idle poll loop) resets the throttle, locking tier 1 again.
   EXPECT_TRUE(Sched.stealAndRun(Thief));
   EXPECT_EQ(Sched.pickVictim(Thief), nullptr);
-}
-
-TEST(Scheduler, ZeroPatienceUnlocksEveryTierImmediately) {
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.RemoteStealPatience = 0;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
-  for (int I = 0; I < 8; ++I)
-    RT.vproc(1).spawn(trivialTask());
-  VProc *Victim = RT.scheduler().pickVictim(RT.vproc(0));
-  ASSERT_NE(Victim, nullptr);
-  EXPECT_EQ(Victim->id(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -212,61 +174,37 @@ TEST(Scheduler, QueueDepthReadableFromOtherThreads) {
 // Steal batching
 //===----------------------------------------------------------------------===//
 
-TEST(Scheduler, BatchSizeOneRestoresSingleTaskSteals) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.StealBatch = 1;
-  // This test pins the PR 2 fixed-batch baseline: with steal-half a
-  // single handshake would legitimately move several chunks of one.
-  Cfg.StealHalf = false;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  static std::atomic<int> Remaining;
-  Remaining = 60;
-  RT.run(
-      [](Runtime &, VProc &VP, void *) {
-        for (int I = 0; I < 60; ++I)
-          VP.spawn({[](Runtime &, VProc &, Task) { Remaining.fetch_sub(1); },
-                    nullptr, Value::nil(), 0, 0});
-        while (Remaining.load() > 0) {
-          VP.poll();
-          std::this_thread::yield();
-        }
-      },
-      nullptr);
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_EQ(S.TasksStolen, S.StealBatches)
-      << "StealBatch=1 must hand over exactly one task per handshake";
-  EXPECT_EQ(S.TasksServiced, S.TasksStolen);
-}
+TEST(Scheduler, HandshakeTakesHalfUpToMaxBatch) {
+  // One handshake moves min(ceil(k/2), MaxBatch) tasks in one mailbox
+  // message. Deterministic setup: load vproc 2 (the thief's node-0 peer
+  // on uniform(2,2)) between runs, then drive one stealAndRun from the
+  // test thread as vproc 0; vproc 2's worker answers from its drain
+  // poll loop.
+  static_assert(StealRequest::MaxBatch == 8, "depths below assume 8");
+  const struct {
+    unsigned Depth, Moved;
+  } Cases[] = {{3, 2}, {16, 8}, {40, 8}};
+  for (const auto &C : Cases) {
+    RuntimeConfig Cfg = testRuntimeConfig(4);
+    Cfg.ShedThreshold = 0; // the spawns below must stay on vproc 2
+    Runtime RT(Cfg, Topology::uniform(2, 2));
+    ASSERT_EQ(RT.vproc(2).node(), RT.vproc(0).node());
+    for (unsigned I = 0; I < C.Depth; ++I)
+      RT.vproc(2).spawn(trivialTask());
+    ASSERT_EQ(RT.vproc(2).queueDepth(), C.Depth);
 
-TEST(Scheduler, BatchesRespectTheConfiguredCap) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.StealBatch = 3;
-  // Fixed-batch baseline: StealBatch caps the whole handshake (under
-  // steal-half it is only the chunk size). Shedding off so every
-  // migration goes through the capped handshake under test.
-  Cfg.StealHalf = false;
-  Cfg.ShedThreshold = 0;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  EXPECT_EQ(RT.scheduler().stealBatchLimit(), 3u);
-  static std::atomic<int> Remaining;
-  Remaining = 60;
-  RT.run(
-      [](Runtime &, VProc &VP, void *) {
-        for (int I = 0; I < 60; ++I)
-          VP.spawn({[](Runtime &, VProc &, Task) { Remaining.fetch_sub(1); },
-                    nullptr, Value::nil(), 0, 0});
-        while (Remaining.load() > 0) {
-          VP.poll();
-          std::this_thread::yield();
-        }
-      },
-      nullptr);
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_GT(S.StealBatches, 0u);
-  EXPECT_LE(S.TasksStolen, S.StealBatches * 3)
-      << "no handshake may exceed the StealBatch cap";
-  EXPECT_GT(S.meanStealBatch(), 1.0)
-      << "a deep victim queue must yield multi-task batches";
+    ASSERT_TRUE(RT.scheduler().stealAndRun(RT.vproc(0)));
+    SchedStats S = RT.vproc(0).schedStats();
+    EXPECT_EQ(S.StealBatches, 1u) << "depth " << C.Depth;
+    EXPECT_EQ(S.TasksStolen, C.Moved) << "depth " << C.Depth;
+    EXPECT_EQ(RT.vproc(2).queueDepth(), C.Depth - C.Moved);
+    // One stolen task ran, the rest landed on the thief's queue.
+    EXPECT_EQ(RT.vproc(0).queueDepth(), C.Moved - 1);
+    while (RT.vproc(0).runOneLocal())
+      ;
+    while (RT.vproc(2).runOneLocal())
+      ;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -412,29 +350,6 @@ TEST(Scheduler, SpawnRingsDoorbellsAndWorkCompletes) {
   EXPECT_GT(S.Parks, 0u);
 }
 
-TEST(Scheduler, LadderBaselineDisablesRings) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.UseDoorbells = false;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  EXPECT_FALSE(RT.scheduler().doorbells());
-  static std::atomic<int64_t> Sum;
-  Sum = 0;
-  RT.run(
-      [](Runtime &RT, VProc &VP, void *) {
-        parallelFor(
-            RT, VP, 0, 512, 4,
-            [](Runtime &, VProc &, int64_t Lo, int64_t Hi, void *) {
-              Sum.fetch_add(Hi - Lo);
-            },
-            nullptr);
-      },
-      nullptr);
-  EXPECT_EQ(Sum.load(), 512);
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_EQ(S.RingsSent, 0u) << "the ladder baseline never rings";
-  EXPECT_EQ(S.RingWakeups, 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // Spawn affinity
 //===----------------------------------------------------------------------===//
@@ -523,11 +438,8 @@ TEST(Scheduler, HandshakeHammer) {
   // promotion delivers intact environments. The release/acquire pairs
   // documented on StealRequest are exactly what TSan checks here.
   RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.StealBatch = 4;
   // Keep every migration on the steal path: a shed parent would not
   // count toward TasksStolen and break the >= Parents assertion below.
-  // (Steal-half stays on, so the deep spawner queue exercises the
-  // chunked Filled/Consumed protocol under TSan.)
   Cfg.ShedThreshold = 0;
   Runtime RT(Cfg, Topology::uniform(4, 2));
 
@@ -577,54 +489,9 @@ TEST(Scheduler, HandshakeHammer) {
 }
 
 //===----------------------------------------------------------------------===//
-// Load balancing: steal-half, victim-initiated shedding, adaptive
-// patience (the rebalance tests; run under TSan in CI)
+// Load balancing: victim-initiated shedding and the load board (the
+// rebalance tests; run under TSan in CI)
 //===----------------------------------------------------------------------===//
-
-TEST(Rebalance, StealHalfDrainsDeepQueueInChunks) {
-  // One handshake against a deep queue must move ceil(k/2) tasks in
-  // several mailbox chunks. Deterministic setup: load vproc 2 (the
-  // thief's node-0 peer on uniform(2,2)) between runs, then drive one
-  // stealAndRun from the test thread as vproc 0; vproc 2's worker
-  // answers from its drain poll loop.
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.StealBatch = 4;
-  Cfg.ShedThreshold = 0; // the spawns below must stay on vproc 2
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  ASSERT_EQ(RT.vproc(2).node(), RT.vproc(0).node());
-  ASSERT_TRUE(RT.scheduler().stealHalf());
-
-  constexpr unsigned Deep = 40;
-  for (unsigned I = 0; I < Deep; ++I)
-    RT.vproc(2).spawn(trivialTask());
-  ASSERT_EQ(RT.vproc(2).queueDepth(), Deep);
-
-  ASSERT_TRUE(RT.scheduler().stealAndRun(RT.vproc(0)));
-  SchedStats S = RT.vproc(0).schedStats();
-  EXPECT_EQ(S.StealBatches, 1u);
-  EXPECT_EQ(S.TasksStolen, (Deep + 1) / 2)
-      << "steal-half must move half the queue through one handshake";
-  EXPECT_EQ(S.StealChunks, (S.TasksStolen + 3) / 4)
-      << "the transfer must arrive in StealBatch-sized chunks";
-  EXPECT_EQ(RT.vproc(2).queueDepth(), Deep - S.TasksStolen);
-  // One stolen task ran, the rest landed on the thief's queue.
-  EXPECT_EQ(RT.vproc(0).queueDepth(), S.TasksStolen - 1);
-}
-
-TEST(Rebalance, FixedBatchBaselineCapsTheHandshake) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.StealBatch = 4;
-  Cfg.StealHalf = false;
-  Cfg.ShedThreshold = 0;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  for (unsigned I = 0; I < 40; ++I)
-    RT.vproc(2).spawn(trivialTask());
-  ASSERT_TRUE(RT.scheduler().stealAndRun(RT.vproc(0)));
-  SchedStats S = RT.vproc(0).schedStats();
-  EXPECT_EQ(S.TasksStolen, 4u);
-  EXPECT_EQ(S.StealChunks, 1u);
-  EXPECT_EQ(S.StealBatches, 1u);
-}
 
 TEST(Rebalance, LoadBoardAggregatesPerNodeDepth) {
   // uniform(2, 2), 4 vprocs: 0/2 on node 0, 1/3 on node 1.
@@ -773,59 +640,6 @@ TEST(Rebalance, StarvedNodePickOnAmdTopology) {
       ;
 }
 
-TEST(Rebalance, AdaptivePatienceStaysWithinBounds) {
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.RemoteStealPatience = 16;
-  Cfg.RemoteStealPatienceMin = 4;
-  Cfg.RemoteStealPatienceMax = 64;
-  Cfg.AdaptivePatience = true;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
-  Scheduler &Sched = RT.scheduler();
-  ASSERT_TRUE(Sched.adaptivePatience());
-  VProc &Thief = RT.vproc(0);
-  EXPECT_EQ(Sched.patienceOf(0), 16u);
-
-  // A dry world: every round fails, so windows keep halving the
-  // patience until it pins at the lower bound -- never below.
-  for (int I = 0; I < 400; ++I) {
-    EXPECT_FALSE(Sched.stealAndRun(Thief));
-    EXPECT_GE(Sched.patienceOf(0), 4u);
-    EXPECT_LE(Sched.patienceOf(0), 64u);
-  }
-  EXPECT_EQ(Sched.patienceOf(0), 4u) << "dry rounds must pin at Min";
-  SchedStats S = Thief.schedStats();
-  EXPECT_GT(S.PatienceDrops, 0u);
-  EXPECT_EQ(S.PatienceRaises, 0u);
-
-  // A fed neighborhood: vproc 4 (same node) always has work, so every
-  // round succeeds and the patience doubles up to -- never past -- Max.
-  for (int I = 0; I < 400; ++I) {
-    RT.vproc(4).spawn(trivialTask());
-    EXPECT_TRUE(Sched.stealAndRun(Thief));
-    EXPECT_LE(Sched.patienceOf(0), 64u);
-    while (Thief.runOneLocal())
-      ;
-  }
-  EXPECT_EQ(Sched.patienceOf(0), 64u) << "fed rounds must pin at Max";
-  EXPECT_GT(Thief.schedStats().PatienceRaises, 0u);
-}
-
-TEST(Rebalance, FixedPatienceBaselineNeverAdapts) {
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.RemoteStealPatience = 16;
-  Cfg.AdaptivePatience = false;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
-  Scheduler &Sched = RT.scheduler();
-  EXPECT_FALSE(Sched.adaptivePatience());
-  for (int I = 0; I < 200; ++I) {
-    Sched.stealAndRun(RT.vproc(0));
-    EXPECT_EQ(Sched.patienceOf(0), 16u);
-  }
-  SchedStats S = RT.vproc(0).schedStats();
-  EXPECT_EQ(S.PatienceDrops, 0u);
-  EXPECT_EQ(S.PatienceRaises, 0u);
-}
-
 TEST(Rebalance, ShedBatchFlowsToStarvedNode) {
   // End-to-end: a skewed producer on node 0 bursts deep queues while
   // node 1 idles; shed batches must arrive through node 1's bay and be
@@ -873,7 +687,6 @@ TEST(Rebalance, RemoteBayClaimUnlocksWithPatience) {
   // busy or blocked after the shed.
   RuntimeConfig Cfg = testRuntimeConfig(4);
   Cfg.ShedThreshold = 8;
-  Cfg.RemoteStealPatience = 16;
   Runtime RT(Cfg, Topology::uniform(2, 2));
   ParkLot &Lot = RT.parkLot();
   ParkLot::Token FakeWaiter = Lot.prepare(1);
@@ -892,55 +705,20 @@ TEST(Rebalance, RemoteBayClaimUnlocksWithPatience) {
   // out, and the remote bay opens on the same terms as remote victims.
   while (RT.vproc(0).runOneLocal())
     ;
+  unsigned FailedRounds = 0;
   bool Claimed = false;
-  for (int I = 0; I < 200 && !Claimed; ++I) {
-    RT.scheduler().stealAndRun(Rescuer);
+  while (!Claimed && FailedRounds < 2 * Scheduler::RemotePatience) {
+    ASSERT_FALSE(RT.scheduler().stealAndRun(Rescuer));
+    ++FailedRounds;
     Claimed = RT.scheduler().claimShedAndRun(Rescuer);
   }
   EXPECT_TRUE(Claimed) << "patience-expired vprocs must rescue remote bays";
+  EXPECT_EQ(FailedRounds, Scheduler::RemotePatience)
+      << "the remote bay opens after exactly one patience of failed rounds";
   EXPECT_EQ(Lot.shedDepth(1), 0u);
   EXPECT_EQ(Rescuer.schedStats().ShedTasksClaimed, 4u);
   while (Rescuer.runOneLocal())
     ;
-}
-
-TEST(Rebalance, BaselineKnobsRestorePriorStatsShape) {
-  // ShedThreshold=0 + AdaptivePatience=false + StealHalf=false is the
-  // PR 4 scheduler: every new counter must stay at zero (and chunks
-  // must degenerate to one per handshake).
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.ShedThreshold = 0;
-  Cfg.AdaptivePatience = false;
-  Cfg.StealHalf = false;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  static std::atomic<int> Remaining;
-  Remaining = 300;
-  RT.run(
-      [](Runtime &, VProc &VP, void *) {
-        static JoinCounter Join;
-        for (int I = 0; I < 300; ++I) {
-          Join.add();
-          VP.spawn({[](Runtime &, VProc &, Task) {
-                      Remaining.fetch_sub(1);
-                      Join.sub();
-                    },
-                    &Join, Value::nil(), 0, 0});
-        }
-        VP.joinWait(Join);
-      },
-      nullptr);
-  EXPECT_EQ(Remaining.load(), 0);
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_EQ(S.TasksShed, 0u);
-  EXPECT_EQ(S.ShedBatches, 0u);
-  EXPECT_EQ(S.ShedEnvBytes, 0u);
-  EXPECT_EQ(S.ShedTargetMisses, 0u);
-  EXPECT_EQ(S.ShedClaims, 0u);
-  EXPECT_EQ(S.ShedTasksClaimed, 0u);
-  EXPECT_EQ(S.PatienceRaises, 0u);
-  EXPECT_EQ(S.PatienceDrops, 0u);
-  EXPECT_EQ(S.StealChunks, S.StealBatches)
-      << "fixed-batch handshakes are exactly one chunk each";
 }
 
 TEST(Rebalance, LoadBoardTeardownHammer) {
@@ -992,12 +770,10 @@ TEST(Rebalance, LoadBoardTeardownHammer) {
 }
 
 TEST(Rebalance, ShedHammer) {
-  // Everything on at once -- shedding, steal-half chunking, adaptive
-  // patience -- under an environment-carrying spawn storm: the TSan
-  // regression test for the publish/claim bay protocol and the chunked
-  // Filled/Consumed handshake, plus end-to-end env integrity.
+  // Shedding and stealing at once under an environment-carrying spawn
+  // storm: the TSan regression test for the publish/claim bay protocol
+  // racing the steal handshake, plus end-to-end env integrity.
   RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.StealBatch = 4;
   Cfg.ShedThreshold = 8;
   Runtime RT(Cfg, Topology::uniform(4, 2));
 
@@ -1045,7 +821,8 @@ TEST(Scheduler, ReportRendersSchedulerSection) {
             nullptr);
       },
       nullptr);
-  std::string Report = gcReportString(RT.world(), RT.aggregateSchedStats());
+  std::string Report =
+      buildGCReport(RT.world(), RT.aggregateSchedStats()).human();
   EXPECT_NE(Report.find("scheduler:"), std::string::npos);
   EXPECT_NE(Report.find("node-local"), std::string::npos);
   EXPECT_NE(Report.find("parked"), std::string::npos);
